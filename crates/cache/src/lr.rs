@@ -2,7 +2,7 @@
 //! with the M-bit mix rule and W-bit waiting entries of §3.2.
 
 use crate::addr::CacheAddr;
-use crate::policy::ReplacementPolicy;
+use crate::policy::{Candidates, ReplacementPolicy};
 use crate::stats::CacheStats;
 use crate::victim::{VictimBlock, VictimCache};
 use rand::rngs::SmallRng;
@@ -90,7 +90,7 @@ pub struct LrCacheConfig {
     /// Total blocks β (paper: 1K–8K). Must be a multiple of `assoc`, and
     /// `blocks / assoc` must be a power of two.
     pub blocks: usize,
-    /// Set associativity (paper: 4).
+    /// Set associativity (paper: 4; at most 64).
     pub assoc: usize,
     /// Mix value γ: the fraction of each set reserved for REM results
     /// (paper sweeps 0 %, 25 %, 50 %, 75 %; 50 % is best for β ≥ 2K).
@@ -251,16 +251,23 @@ pub struct LrCache<V, A: CacheAddr = u32> {
     auto_last_probes: u64,
     /// Hit count at the last `Auto` re-evaluation.
     auto_last_hits: u64,
+    /// Test-only: run the multi-pass selection the single-pass miss
+    /// path replaced (the oracle in `mod multipass`).
+    #[cfg(test)]
+    multipass: bool,
 }
 
 impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     /// Build a cache from a configuration.
     ///
     /// # Panics
-    /// Panics if `blocks` is not a positive multiple of `assoc` or the
-    /// set count is not a power of two.
+    /// Panics if `assoc` is not in `1..=64`, `blocks` is not a positive
+    /// multiple of `assoc` or the set count is not a power of two.
     pub fn new(config: LrCacheConfig) -> Self {
-        assert!(config.assoc > 0, "associativity must be positive");
+        assert!(
+            (1..=64).contains(&config.assoc),
+            "associativity must be in 1..=64"
+        );
         assert!(
             config.blocks > 0 && config.blocks.is_multiple_of(config.assoc),
             "blocks must be a positive multiple of assoc"
@@ -303,6 +310,8 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
             auto_size_gate: size_gate,
             auto_last_probes: 0,
             auto_last_hits: 0,
+            #[cfg(test)]
+            multipass: false,
             config,
         }
     }
@@ -346,9 +355,14 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     /// Probe for `addr` (one cache port operation). Updates recency and
     /// statistics; promotes victim-cache hits back into the main array.
     pub fn probe(&mut self, addr: A) -> ProbeResult<V> {
+        self.probe_set(self.set_of(addr), addr)
+    }
+
+    /// [`LrCache::probe`] with `addr`'s set already computed.
+    #[inline]
+    fn probe_set(&mut self, set: usize, addr: A) -> ProbeResult<V> {
         self.clock += 1;
-        let range = self.set_range(self.set_of(addr));
-        for i in range.clone() {
+        for i in self.set_range(set) {
             match self.ways[i].block {
                 Block::Complete {
                     addr: a,
@@ -414,16 +428,6 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         let _ = addr;
     }
 
-    /// Batched probe pass with software prefetch: for each address, a
-    /// [`LrCache::probe`] with the miss-path [`LrCache::reserve`] folded
-    /// in. Appends one [`BatchProbe`] per address onto `out`, in order.
-    ///
-    /// The per-lane cache-op sequence is *exactly* probe-then-reserve —
-    /// the same calls, in the same order, a scalar caller would make —
-    /// so clocks, statistics and replacement state end up bit-identical
-    /// to the scalar path. The win is the prefetch distance: lane i
-    /// announces lane i+8's set before touching lane i's, so the set
-    /// scans run out of L1 instead of stalling on L2/L3.
     /// Re-evaluate the `Auto` prefetch decision from the windowed hit
     /// rate. Purely a performance toggle — probe/reserve semantics,
     /// statistics and replacement state are untouched, so deterministic
@@ -441,6 +445,15 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         self.auto_last_hits = hits;
     }
 
+    /// Batched probe pass with software prefetch: one
+    /// [`LrCache::probe_reserve`] per address. Appends one
+    /// [`BatchProbe`] per address onto `out`, in order.
+    ///
+    /// Clocks, statistics and replacement state end up bit-identical to
+    /// a scalar caller's probe-then-reserve sequence. The win is the
+    /// prefetch distance: lane i announces lane i+8's set before
+    /// touching lane i's, so the set scans run out of L1 instead of
+    /// stalling on L2/L3.
     pub fn probe_batch(&mut self, addrs: &[A], out: &mut Vec<BatchProbe<V>>) {
         const PREFETCH_DIST: usize = 8;
         if self.auto_adapt {
@@ -453,15 +466,34 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
                     self.prefetch_set(ahead);
                 }
             }
-            let lane = match self.probe(addr) {
-                ProbeResult::Hit { value, origin } => BatchProbe::Hit { value, origin },
-                ProbeResult::HitWaiting => BatchProbe::Waiting,
-                ProbeResult::Miss => match self.reserve(addr) {
+            out.push(self.probe_reserve(addr));
+        }
+    }
+
+    /// Probe for `addr` and, on a miss, reserve a waiting block for it:
+    /// [`LrCache::probe`] followed by [`LrCache::reserve`] when it
+    /// misses, with identical effects, except that the miss path does
+    /// not rescan the set for `addr` (the probe just showed that no
+    /// block holds it).
+    pub fn probe_reserve(&mut self, addr: A) -> BatchProbe<V> {
+        let set = self.set_of(addr);
+        match self.probe_set(set, addr) {
+            ProbeResult::Hit { value, origin } => BatchProbe::Hit { value, origin },
+            ProbeResult::HitWaiting => BatchProbe::Waiting,
+            ProbeResult::Miss => {
+                #[cfg(test)]
+                if self.multipass {
+                    return match self.reserve(addr) {
+                        ReserveOutcome::Reserved => BatchProbe::MissReserved,
+                        ReserveOutcome::SetFullOfWaiting => BatchProbe::MissUnrecorded,
+                    };
+                }
+                self.clock += 1;
+                match self.reserve_new(set, addr) {
                     ReserveOutcome::Reserved => BatchProbe::MissReserved,
                     ReserveOutcome::SetFullOfWaiting => BatchProbe::MissUnrecorded,
-                },
-            };
-            out.push(lane);
+                }
+            }
         }
     }
 
@@ -484,6 +516,13 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
                 _ => {}
             }
         }
+        self.reserve_new(set, addr)
+    }
+
+    /// Record `addr`, which no block of `set` holds, in a fresh waiting
+    /// block (the clock has already ticked for this operation).
+    #[inline]
+    fn reserve_new(&mut self, set: usize, addr: A) -> ReserveOutcome {
         match self.pick_slot(set) {
             Some(i) => {
                 self.evict_to_victim(i);
@@ -656,62 +695,51 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     /// otherwise a complete block selected by the mix rule + policy.
     /// Waiting blocks are never evicted (their waiting lists would be
     /// orphaned). Returns `None` if all blocks are waiting.
+    ///
+    /// One pass over the set finds the first free way, the LOC/REM
+    /// counts and each class's policy candidates; the mix rule then
+    /// picks the class, as hardware checks the set's M bits in parallel.
     fn pick_slot(&mut self, set: usize) -> Option<usize> {
-        let range = self.set_range(set);
-        // Free slot first.
-        for i in range.clone() {
-            if matches!(self.ways[i].block, Block::Invalid) {
-                return Some(i);
-            }
+        #[cfg(test)]
+        if self.multipass {
+            return self.pick_slot_multipass(set);
         }
-        // Count complete blocks per class.
-        let mut loc = 0usize;
-        let mut rem = 0usize;
-        for i in range.clone() {
-            if let Block::Complete { origin, .. } = self.ways[i].block {
-                match origin {
-                    Origin::Loc => loc += 1,
-                    Origin::Rem => rem += 1,
-                }
-            }
+        let start = set * self.config.assoc;
+        let policy = self.config.policy;
+        let mut loc = Candidates::default();
+        let mut rem = Candidates::default();
+        for (j, way) in self.ways[self.set_range(set)].iter().enumerate() {
+            let class = match way.block {
+                Block::Invalid => return Some(start + j),
+                Block::Waiting { .. } => continue,
+                Block::Complete {
+                    origin: Origin::Loc,
+                    ..
+                } => &mut loc,
+                Block::Complete {
+                    origin: Origin::Rem,
+                    ..
+                } => &mut rem,
+            };
+            class.offer(j, policy.stamp(way.lru, way.fifo));
         }
-        if loc + rem == 0 {
+        let (n_loc, n_rem) = (loc.len(), rem.len());
+        if n_loc + n_rem == 0 {
             return None; // set entirely waiting
         }
         // The class exceeding its quota supplies the candidates (§3.2);
-        // hardware checks the M bits of the set in parallel.
-        let restrict = match self.config.mix_mode {
-            MixMode::Ignore => None,
-            MixMode::Enforce => {
-                let loc_quota = self.config.assoc - self.rem_quota;
-                if rem > self.rem_quota {
-                    Some(Origin::Rem)
-                } else if loc > loc_quota {
-                    Some(Origin::Loc)
-                } else {
-                    None
-                }
-            }
+        // it always holds at least one block.
+        let candidates = match self.config.mix_mode {
+            MixMode::Enforce if n_rem > self.rem_quota => rem,
+            MixMode::Enforce if n_loc > self.config.assoc - self.rem_quota => loc,
+            _ => loc.union(rem),
         };
-        let candidates = |filter: Option<Origin>| {
-            let ways = &self.ways;
-            range.clone().filter_map(move |i| match ways[i].block {
-                Block::Complete { origin, .. } if filter.is_none() || filter == Some(origin) => {
-                    Some((i, ways[i].lru, ways[i].fifo))
-                }
-                _ => None,
-            })
-        };
-        let chosen = self
-            .config
-            .policy
-            .choose(candidates(restrict), &mut self.rng)
-            .or_else(|| self.config.policy.choose(candidates(None), &mut self.rng));
+        let chosen = policy.choose(candidates, &mut self.rng);
         debug_assert!(
             chosen.is_some(),
             "complete blocks exist, so a candidate does"
         );
-        chosen
+        chosen.map(|j| start + j)
     }
 
     /// Move a complete block out of way `i` into the victim cache.
@@ -723,14 +751,17 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         } = self.ways[i].block
         {
             self.stats.evictions += 1;
-            self.victim.insert(
-                VictimBlock {
-                    addr,
-                    value,
-                    origin_is_rem: origin == Origin::Rem,
-                },
-                &mut self.rng,
-            );
+            let block = VictimBlock {
+                addr,
+                value,
+                origin_is_rem: origin == Origin::Rem,
+            };
+            #[cfg(test)]
+            if self.multipass {
+                self.victim.insert_multipass(block, &mut self.rng);
+                return;
+            }
+            self.victim.insert(block, &mut self.rng);
         }
     }
 }
@@ -738,6 +769,185 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
 /// An IPv6 LR-cache: identical §3.2 machinery keyed on `u128`
 /// addresses (prefix lengths up to /128).
 pub type LrCache6<V> = LrCache<V, u128>;
+
+/// The multi-pass selection the single-pass miss path replaced, kept
+/// only as a test oracle: a cache built by [`multipass::oracle`]
+/// rescans the set in `reserve` after a batched probe's miss, picks its
+/// slot in three passes through the iterator-based policy, and inserts
+/// into the victim cache in two passes. The property test below runs
+/// both caches through the same operation sequences and requires them
+/// to agree on every observable.
+#[cfg(test)]
+mod multipass {
+    use super::*;
+    use proptest::prelude::*;
+
+    pub(super) fn oracle<V: Copy + Eq + std::fmt::Debug>(config: LrCacheConfig) -> LrCache<V> {
+        let mut c = LrCache::new(config);
+        c.multipass = true;
+        c
+    }
+
+    impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
+        pub(super) fn pick_slot_multipass(&mut self, set: usize) -> Option<usize> {
+            let range = self.set_range(set);
+            // Free slot first.
+            for i in range.clone() {
+                if matches!(self.ways[i].block, Block::Invalid) {
+                    return Some(i);
+                }
+            }
+            // Count complete blocks per class.
+            let mut loc = 0usize;
+            let mut rem = 0usize;
+            for i in range.clone() {
+                if let Block::Complete { origin, .. } = self.ways[i].block {
+                    match origin {
+                        Origin::Loc => loc += 1,
+                        Origin::Rem => rem += 1,
+                    }
+                }
+            }
+            if loc + rem == 0 {
+                return None; // set entirely waiting
+            }
+            let restrict = match self.config.mix_mode {
+                MixMode::Ignore => None,
+                MixMode::Enforce => {
+                    let loc_quota = self.config.assoc - self.rem_quota;
+                    if rem > self.rem_quota {
+                        Some(Origin::Rem)
+                    } else if loc > loc_quota {
+                        Some(Origin::Loc)
+                    } else {
+                        None
+                    }
+                }
+            };
+            let candidates = |filter: Option<Origin>| {
+                let ways = &self.ways;
+                range.clone().filter_map(move |i| match ways[i].block {
+                    Block::Complete { origin, .. }
+                        if filter.is_none() || filter == Some(origin) =>
+                    {
+                        Some((i, ways[i].lru, ways[i].fifo))
+                    }
+                    _ => None,
+                })
+            };
+            self.config
+                .policy
+                .choose_multipass(candidates(restrict), &mut self.rng)
+                .or_else(|| {
+                    self.config
+                        .policy
+                        .choose_multipass(candidates(None), &mut self.rng)
+                })
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Batch(Vec<u32>),
+        Probe(u32),
+        Reserve(u32),
+        Fill(u32, u16, bool),
+        Invalidate(u32, u8),
+    }
+
+    /// Addresses concentrated on few sets, so sets fill, waiting blocks
+    /// pile up and both classes compete for eviction.
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        let addr = 0u32..96;
+        proptest::collection::vec(
+            prop_oneof![
+                3 => proptest::collection::vec(addr.clone(), 0..12).prop_map(Op::Batch),
+                2 => addr.clone().prop_map(Op::Probe),
+                1 => addr.clone().prop_map(Op::Reserve),
+                4 => (addr.clone(), 0u16..8, any::<bool>()).prop_map(|(a, v, r)| Op::Fill(a, v, r)),
+                1 => (addr, 26u8..=32).prop_map(|(a, l)| Op::Invalidate(a, l)),
+            ],
+            0..160,
+        )
+    }
+
+    fn assert_same(a: &LrCache<u16>, b: &LrCache<u16>, step: usize) {
+        assert_eq!(a.stats(), b.stats(), "stats diverged at step {step}");
+        assert_eq!(
+            a.waiting_count(),
+            b.waiting_count(),
+            "waiting count diverged at step {step}"
+        );
+        assert!(
+            a.entries().eq(b.entries()),
+            "entries diverged at step {step}"
+        );
+        // Internal state too: clocks and every way's block and stamps.
+        assert_eq!(a.clock, b.clock, "clock diverged at step {step}");
+        assert!(
+            a.ways
+                .iter()
+                .zip(&b.ways)
+                .all(|(x, y)| (x.block, x.lru, x.fifo) == (y.block, y.lru, y.fifo)),
+            "ways diverged at step {step}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn single_pass_selection_matches_the_multipass_oracle(
+            assoc in prop::sample::select(vec![1usize, 2, 4, 8]),
+            sets in prop::sample::select(vec![1usize, 2, 4]),
+            gamma in prop::sample::select(vec![0.0f64, 0.25, 0.5, 0.75, 1.0]),
+            seed in any::<u64>(),
+            ops in arb_ops(),
+        ) {
+            for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo, ReplacementPolicy::Random] {
+                for mix_mode in [MixMode::Enforce, MixMode::Ignore] {
+                    for victim_blocks in [0usize, 8] {
+                        let config = LrCacheConfig {
+                            blocks: sets * assoc,
+                            assoc,
+                            mix_rem_fraction: gamma,
+                            mix_mode,
+                            policy,
+                            victim_blocks,
+                            seed,
+                            ..LrCacheConfig::default()
+                        };
+                        let mut fast: LrCache<u16> = LrCache::new(config.clone());
+                        let mut slow: LrCache<u16> = oracle(config);
+                        let (mut lanes_fast, mut lanes_slow) = (Vec::new(), Vec::new());
+                        for (step, op) in ops.iter().enumerate() {
+                            match op {
+                                Op::Batch(addrs) => {
+                                    lanes_fast.clear();
+                                    lanes_slow.clear();
+                                    fast.probe_batch(addrs, &mut lanes_fast);
+                                    slow.probe_batch(addrs, &mut lanes_slow);
+                                    prop_assert_eq!(&lanes_fast, &lanes_slow, "lanes at step {}", step);
+                                }
+                                &Op::Probe(a) => prop_assert_eq!(fast.probe(a), slow.probe(a)),
+                                &Op::Reserve(a) => prop_assert_eq!(fast.reserve(a), slow.reserve(a)),
+                                &Op::Fill(a, v, rem) => {
+                                    let origin = if rem { Origin::Rem } else { Origin::Loc };
+                                    prop_assert_eq!(fast.fill(a, v, origin), slow.fill(a, v, origin));
+                                }
+                                &Op::Invalidate(bits, len) => prop_assert_eq!(
+                                    fast.invalidate_covered(bits, len),
+                                    slow.invalidate_covered(bits, len)
+                                ),
+                            }
+                            assert_same(&fast, &slow, step);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -6,6 +6,7 @@
 use crate::addr::CacheAddr;
 use crate::policy::ReplacementPolicy;
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// A complete (non-waiting) block stored in the victim cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +79,12 @@ impl<V: Copy + Eq, A: CacheAddr> VictimCache<V, A> {
 
     /// Insert a block evicted from the main array, evicting by policy if
     /// full. Returns the displaced block, if any.
+    ///
+    /// One pass over the slots finds either the slot already holding
+    /// the address (a block may re-arrive after a promote/evict cycle;
+    /// it is replaced in place) or the policy's victim: the oldest stamp
+    /// for LRU/FIFO, and for Random one `gen_range(0..len)` draw over
+    /// the slots, all of which are candidates.
     pub fn insert(
         &mut self,
         block: VictimBlock<V, A>,
@@ -87,7 +94,47 @@ impl<V: Copy + Eq, A: CacheAddr> VictimCache<V, A> {
             return Some(block);
         }
         self.clock += 1;
-        // Same address may re-arrive after a promote/evict cycle; replace.
+        let fresh = Slot {
+            block,
+            lru: self.clock,
+            fifo: self.clock,
+        };
+        let mut oldest: Option<(usize, u64)> = None;
+        for i in 0..self.slots.len() {
+            let s = &self.slots[i];
+            if s.block.addr == block.addr {
+                return Some(std::mem::replace(&mut self.slots[i], fresh).block);
+            }
+            let stamp = self.policy.stamp(s.lru, s.fifo);
+            if oldest.is_none_or(|(_, o)| stamp < o) {
+                oldest = Some((i, stamp));
+            }
+        }
+        if self.slots.len() < self.capacity {
+            self.slots.push(fresh);
+            return None;
+        }
+        let idx = match self.policy {
+            ReplacementPolicy::Random => rng.gen_range(0..self.slots.len()),
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                oldest.expect("victim cache is full, so candidates exist").0
+            }
+        };
+        Some(std::mem::replace(&mut self.slots[idx], fresh).block)
+    }
+
+    /// Test-only copy of the two-pass insert [`Self::insert`] replaced,
+    /// run by the LR-cache's oracle tests.
+    #[cfg(test)]
+    pub(crate) fn insert_multipass(
+        &mut self,
+        block: VictimBlock<V, A>,
+        rng: &mut SmallRng,
+    ) -> Option<VictimBlock<V, A>> {
+        if self.capacity == 0 {
+            return Some(block);
+        }
+        self.clock += 1;
         if let Some(slot) = self.slots.iter_mut().find(|s| s.block.addr == block.addr) {
             let old = slot.block;
             slot.block = block;
@@ -105,7 +152,7 @@ impl<V: Copy + Eq, A: CacheAddr> VictimCache<V, A> {
         }
         let idx = self
             .policy
-            .choose(
+            .choose_multipass(
                 self.slots
                     .iter()
                     .enumerate()
@@ -199,6 +246,32 @@ mod tests {
         assert_eq!(old.value, 1);
         assert_eq!(v.len(), 1);
         assert_eq!(v.peek(5).unwrap().value, 2);
+    }
+
+    #[test]
+    fn duplicate_address_replaces_in_a_full_cache() {
+        // A full cache re-receiving a resident address replaces that
+        // slot in place: nothing else is displaced and no RNG draw is
+        // made, whatever the policy.
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ] {
+            let mut v = VictimCache::new(4, policy);
+            let mut r = rng();
+            for a in 1..=4 {
+                assert!(v.insert(blk(a, a as u16), &mut r).is_none());
+            }
+            let mut untouched = r.clone();
+            let old = v.insert(blk(3, 30), &mut r).unwrap();
+            assert_eq!((old.addr, old.value), (3, 3), "{policy:?}");
+            assert_eq!(v.len(), 4);
+            let mut held: Vec<(u32, u16)> = v.entries().collect();
+            held.sort_unstable();
+            assert_eq!(held, vec![(1, 1), (2, 2), (3, 30), (4, 4)], "{policy:?}");
+            assert_eq!(r.gen::<u64>(), untouched.gen::<u64>(), "{policy:?}");
+        }
     }
 
     #[test]

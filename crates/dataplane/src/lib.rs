@@ -17,6 +17,8 @@
 //!   simulator's per-LC reports;
 //! * [`vcache`] — the version-gated LR-cache (stale fabric replies are
 //!   never cached);
+//! * [`park`] — the worker's parking table: one entry per in-flight
+//!   address, its waiters and its awaiting-reply flag;
 //! * [`fault`] — deterministic, seed-driven fault injection for the
 //!   fabric and workers;
 //! * [`scenario`] — scripted operational episodes (LC failure with
@@ -25,6 +27,7 @@
 
 pub mod epoch;
 pub mod fault;
+pub mod park;
 pub mod report;
 pub mod runtime;
 pub mod runtime6;
@@ -33,6 +36,7 @@ pub mod vcache;
 
 pub use epoch::{epoch_table, EpochReader, EpochWriter, Pinned};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
+pub use park::ParkStats;
 pub use report::{
     ChurnReport, CoherenceSummary, DataplaneReport, FailoverSummary, FaultReport, LatencyHisto,
     LatencySummary, PathLatency, SweepSummary, TailSummary, WorkerReport,

@@ -2,6 +2,7 @@
 //! discrete-event simulator's [`spal_sim`-style] per-LC reports.
 
 use crate::fault::FaultStats;
+use crate::park::ParkStats;
 use spal_cache::CacheStats;
 use std::time::Duration;
 
@@ -223,6 +224,9 @@ pub struct WorkerReport {
     /// zero whenever `capture_latency` is off (the cold-path counter
     /// the skip is asserted through).
     pub timestamp_pairs: u64,
+    /// Parking-table occupancy: peak parked addresses, peak recycled
+    /// waiter lists, and addresses left parked at the end.
+    pub park: ParkStats,
 }
 
 /// Latency series in microseconds: running min/mean/max plus the raw

@@ -18,17 +18,22 @@
 //! (requests from other workers and replies to its own), admits one
 //! batch from its trace, resolves the accumulated FE queue through one
 //! `lookup_batch` call, and flushes its outbox. Missed addresses are
-//! *parked* (one pending job per distinct address — the W-bit early
-//! recording discipline of §3.2) so duplicate work is never issued;
-//! each resolved address completes every parked waiter at once, either
-//! locally or with a reply over the fabric.
+//! *parked* in the worker's parking table ([`crate::park`]): one entry
+//! per distinct address, the W-bit early recording discipline of §3.2,
+//! so duplicate work is never issued. An entry carries its waiter list
+//! and an awaiting-reply flag; parking costs one keyed lookup and a
+//! reply one removal, and waiter lists are recycled through a free
+//! list so steady-state parking does not allocate. Each resolved
+//! address completes every parked waiter at once, either locally or
+//! with a reply over the fabric; a reply that finds no entry awaiting
+//! it is a duplicate and is dropped.
 //!
 //! Pushes never block: undeliverable messages sit in a per-worker
 //! outbox and retry next iteration while the worker keeps draining its
 //! own rings — so two workers flooding each other cannot deadlock.
-//! A worker is *done* when its trace is exhausted and it holds no
-//! pending jobs, queued messages, or outstanding requests; it keeps
-//! serving remote requests until every worker is done.
+//! A worker is *done* when its trace is exhausted and its parking
+//! table, outbox and out-events are empty; it keeps serving remote
+//! requests until every worker is done.
 //!
 //! ## Update visibility
 //!
@@ -40,6 +45,7 @@
 
 use crate::epoch::{epoch_table, EpochReader, EpochWriter};
 use crate::fault::{FaultInjector, FaultPlan};
+use crate::park::ParkingTable;
 use crate::report::{
     ChurnReport, CoherenceSummary, DataplaneReport, FailoverSummary, FaultReport, SweepSummary,
     TailSummary, WorkerReport,
@@ -59,7 +65,7 @@ use spal_lpm::{CountedLookup, Lpm};
 use spal_rib::updates::{update_stream, Update, UpdateStreamConfig};
 use spal_rib::{Prefix, RoutingTable};
 use spal_traffic::Trace;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -322,15 +328,12 @@ struct WorkerCore {
     ctrl_rx: SpscConsumer<CtrlMsg>,
     outbox: VecDeque<FabricMsg>,
     /// One entry per distinct in-flight address: all packets/requests
-    /// waiting on its result (the W-bit discipline).
-    pending: HashMap<u32, Vec<Waiter>>,
+    /// waiting on its result (the W-bit discipline), and whether a
+    /// remote request for it is unanswered.
+    parked: ParkingTable<u32, Waiter>,
     /// Addresses to resolve on the local engine this iteration.
     fe_queue: Vec<u32>,
     results: Vec<CountedLookup>,
-    /// Addresses with an unanswered remote request in flight. A set,
-    /// not a counter, so a duplicated reply (fault injection, or a real
-    /// fabric's at-least-once retry) is recognized and ignored.
-    awaiting_reply: HashSet<u32>,
     /// Fault adversary (`None` on a faultless fabric).
     faults: Option<FaultInjector>,
     spot_check_every: u64,
@@ -446,43 +449,53 @@ impl WorkerCore {
     /// Park a waiter on `addr`; the first waiter creates the job and
     /// routes it (local FE queue or remote request).
     fn park(&mut self, addr: u32, w: Waiter) {
-        use std::collections::hash_map::Entry;
-        match self.pending.entry(addr) {
-            Entry::Occupied(mut e) => e.get_mut().push(w),
-            Entry::Vacant(e) => {
-                e.insert(vec![w]);
-                let home = self.part.home_of(addr);
-                if home as usize == self.lc {
-                    self.fe_queue.push(addr);
-                } else {
-                    self.awaiting_reply.insert(addr);
-                    self.report.remote_requests += 1;
-                    self.emit_request(home, addr);
-                }
-            }
+        let Some(awaiting_reply) = self.parked.park(addr, w) else {
+            return;
+        };
+        let home = self.part.home_of(addr);
+        if home as usize == self.lc {
+            self.fe_queue.push(addr);
+        } else {
+            *awaiting_reply = true;
+            self.report.remote_requests += 1;
+            self.emit_request(home, addr);
         }
     }
 
     /// Complete every waiter parked on `addr` with its resolved result.
-    /// `now` is taken once per drain/flush phase; local waiters book
-    /// `now - admitted` on the miss-path latency histogram.
     fn resolve(&mut self, addr: u32, nh: Option<u16>, version: u64, now: Instant) {
-        if let Some(waiters) = self.pending.remove(&addr) {
-            for w in waiters {
-                match w {
-                    Waiter::Local { admitted } => {
-                        if self.capture_latency {
-                            let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
-                            self.report.latency.miss.record(ns);
-                        }
-                        self.complete(nh);
+        if let Some(waiters) = self.parked.take(addr) {
+            self.wake(addr, waiters, nh, version, now);
+        }
+    }
+
+    /// Complete `waiters`, just removed from `addr`'s parking entry, and
+    /// recycle their list. `now` is taken once per drain/flush phase;
+    /// local waiters book `now - admitted` on the miss-path latency
+    /// histogram.
+    fn wake(
+        &mut self,
+        addr: u32,
+        waiters: Vec<Waiter>,
+        nh: Option<u16>,
+        version: u64,
+        now: Instant,
+    ) {
+        for &w in &waiters {
+            match w {
+                Waiter::Local { admitted } => {
+                    if self.capture_latency {
+                        let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
+                        self.report.latency.miss.record(ns);
                     }
-                    Waiter::Remote { src, packet_id } => {
-                        self.emit_reply(src, addr, packet_id, nh, version)
-                    }
+                    self.complete(nh);
+                }
+                Waiter::Remote { src, packet_id } => {
+                    self.emit_reply(src, addr, packet_id, nh, version)
                 }
             }
         }
+        self.parked.recycle(waiters);
     }
 
     /// Adopt the pinned snapshot's partitioning if it changed (an
@@ -496,8 +509,8 @@ impl WorkerCore {
     ///   pulled into the local FE queue when this worker is the new
     ///   home, re-issued to the new home otherwise. The original
     ///   request may still produce a reply (it is dead only if the old
-    ///   home died); `awaiting_reply` being a set makes the eventual
-    ///   duplicate harmless.
+    ///   home died); the parking entry's awaiting-reply flag makes the
+    ///   eventual duplicate harmless.
     fn sync_partition(&mut self, snap: &Snapshot) {
         if Arc::ptr_eq(&self.part, &snap.part) && self.dead_mask == snap.dead {
             return;
@@ -508,12 +521,10 @@ impl WorkerCore {
         if self.failed {
             return;
         }
-        for waiters in self.pending.values_mut() {
-            waiters.retain(|w| match w {
-                Waiter::Remote { src, .. } => dead >> *src & 1 == 0,
-                Waiter::Local { .. } => true,
-            });
-        }
+        self.parked.retain_waiters(|w| match w {
+            Waiter::Remote { src, .. } => dead >> *src & 1 == 0,
+            Waiter::Local { .. } => true,
+        });
         let before = self.outbox.len();
         self.outbox.retain(|m| dead >> m.dst & 1 == 0);
         self.report.dead_letters += (before - self.outbox.len()) as u64;
@@ -523,10 +534,7 @@ impl WorkerCore {
                 events.clear();
             }
         }
-        // Sorted for determinism (HashSet iteration order is not).
-        let mut in_flight: Vec<u32> = self.awaiting_reply.iter().copied().collect();
-        in_flight.sort_unstable();
-        for addr in in_flight {
+        for addr in self.parked.awaiting_sorted() {
             let old_home = old.home_of(addr);
             let new_home = self.part.home_of(addr);
             if new_home == old_home && dead >> old_home & 1 == 0 {
@@ -534,7 +542,7 @@ impl WorkerCore {
             }
             self.report.rehomed_requests += 1;
             if new_home as usize == self.lc {
-                self.awaiting_reply.remove(&addr);
+                self.parked.stop_awaiting(addr);
                 self.fe_queue.push(addr);
             } else {
                 self.emit_request(new_home, addr);
@@ -562,9 +570,8 @@ impl WorkerCore {
         let lost = self.dests.len() as u64 - self.report.packets - self.report.ingress_dropped;
         self.report.lost_packets = lost;
         self.pos = self.dests.len();
-        self.pending.clear();
+        self.parked.clear();
         self.fe_queue.clear();
-        self.awaiting_reply.clear();
         self.outbox.clear();
         for events in self.out_events.iter_mut() {
             events.clear();
@@ -609,14 +616,12 @@ impl WorkerCore {
             "request arrived at a non-home LC without failover"
         );
         self.report.remote_served += 1;
-        match self.cache.probe(addr) {
-            ProbeResult::Hit { value, .. } => {
+        match self.cache.probe_reserve(addr) {
+            BatchProbe::Hit { value, .. } => {
                 self.emit_reply(src, addr, packet_id, value, snap.version)
             }
-            ProbeResult::HitWaiting => self.park(addr, Waiter::Remote { src, packet_id }),
-            ProbeResult::Miss => {
-                let _ = self.cache.reserve(addr);
-                self.park(addr, Waiter::Remote { src, packet_id });
+            BatchProbe::Waiting | BatchProbe::MissReserved | BatchProbe::MissUnrecorded => {
+                self.park(addr, Waiter::Remote { src, packet_id })
             }
         }
     }
@@ -626,13 +631,13 @@ impl WorkerCore {
     /// carrying message's table version; every lane of a batch reply
     /// was computed against it).
     fn handle_reply_addr(&mut self, addr: u32, nh: Option<u16>, sent_at: u64, now: Instant) {
-        if !self.awaiting_reply.remove(&addr) {
+        let Some(waiters) = self.parked.take_reply(addr) else {
             // A duplicated (or retransmitted-after-resolve) reply: the
             // original already completed every waiter and filled the
             // cache, so this copy is dropped idempotently.
             self.report.duplicate_replies += 1;
             return;
-        }
+        };
         self.report.replies_received += 1;
         match self.cache.fill_versioned(addr, nh, Origin::Rem, sent_at) {
             VersionedFill::Cached(_) => {}
@@ -641,7 +646,7 @@ impl WorkerCore {
             // as on a real router) but never cache the value.
             VersionedFill::StaleDropped => self.report.stale_replies += 1,
         }
-        self.resolve(addr, nh, sent_at, now);
+        self.wake(addr, waiters, nh, sent_at, now);
     }
 
     /// Route one delivered message. Batch messages unpack to the same
@@ -949,7 +954,8 @@ impl WorkerCore {
         if self.outbox.is_empty() {
             return;
         }
-        let mut blocked = vec![false; self.psi];
+        // Bit `dst` set: `dst`'s ring filled up this pass (ψ ≤ 64).
+        let mut blocked = 0u64;
         let mut deferred = VecDeque::new();
         while let Some(msg) = self.outbox.pop_front() {
             let dst = msg.dst as usize;
@@ -959,7 +965,7 @@ impl WorkerCore {
                 self.report.dead_letters += 1;
                 continue;
             }
-            if blocked[dst] {
+            if blocked >> dst & 1 == 1 {
                 deferred.push_back(msg);
                 continue;
             }
@@ -979,7 +985,7 @@ impl WorkerCore {
                 self.report.max_ring_depth = depth;
             }
             if pushed < self.push_scratch.len() {
-                blocked[dst] = true;
+                blocked |= 1 << dst;
                 deferred.extend(self.push_scratch[pushed..].iter().copied());
             }
         }
@@ -989,10 +995,9 @@ impl WorkerCore {
     fn maybe_mark_done(&mut self) {
         if !self.marked_done
             && self.pos >= self.dests.len()
-            && self.pending.is_empty()
+            && self.parked.is_empty()
             && self.outbox.is_empty()
             && self.out_events.iter().all(|e| e.is_empty())
-            && self.awaiting_reply.is_empty()
             && self.faults.as_ref().map_or(0, |f| f.pending()) == 0
         {
             self.marked_done = true;
@@ -1041,6 +1046,7 @@ impl WorkerCore {
     fn finalize_report(&mut self) {
         self.report.lc = self.lc;
         self.report.cache = *self.cache.stats();
+        self.report.park = self.parked.stats();
         if let Some(f) = &self.faults {
             self.report.faults = f.stats();
         }
@@ -1508,10 +1514,13 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
         traces.iter().all(|t| !t.is_empty()),
         "traces must be non-empty"
     );
+    assert!(
+        psi <= 64,
+        "the dead-LC and blocked-destination masks hold at most 64 workers"
+    );
     if let Some(plan) = &cfg.failover {
         assert!(psi >= 2, "failover needs at least one survivor");
         assert!((plan.lc as usize) < psi, "failover victim out of range");
-        assert!(psi <= 64, "the dead-LC mask holds at most 64 workers");
     }
     if let Some(o) = &cfg.overload {
         assert!(
@@ -1596,10 +1605,9 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
                 req_rx: std::mem::take(&mut rx_mat[lc]),
                 ctrl_rx: ctrl_rx.remove(0),
                 outbox: VecDeque::new(),
-                pending: HashMap::new(),
+                parked: ParkingTable::new(),
                 fe_queue: Vec::new(),
                 results: Vec::new(),
-                awaiting_reply: HashSet::new(),
                 faults: cfg.faults.as_ref().map(|p| FaultInjector::new(p, lc)),
                 spot_check_every: cfg.spot_check_every,
                 fe_since_check: 0,

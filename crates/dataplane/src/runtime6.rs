@@ -19,6 +19,7 @@
 //! oracle-checked the same way.
 
 use crate::epoch::{epoch_table, EpochReader, EpochWriter};
+use crate::park::ParkingTable;
 use crate::report::{ChurnReport, CoherenceSummary, DataplaneReport, TailSummary, WorkerReport};
 use crate::runtime::{ChurnConfig, InvalidationMode};
 use crate::vcache::{VersionedCache, VersionedFill};
@@ -33,7 +34,7 @@ use spal_lpm::{CountedLookup, Lpm6};
 use spal_rib::updates::UpdateStreamConfig;
 use spal_rib::v6::{update_stream6, Prefix6, RoutingTable6, Update6};
 use spal_traffic::Trace6;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -158,10 +159,9 @@ struct WorkerCore6 {
     ctrl_rx: SpscConsumer<CtrlMsg6>,
     outbox: VecDeque<FabricMsg<u128>>,
     /// One entry per distinct in-flight address (the W-bit discipline).
-    pending: HashMap<u128, Vec<Waiter>>,
+    parked: ParkingTable<u128, Waiter>,
     fe_queue: Vec<u128>,
     results: Vec<CountedLookup>,
-    awaiting_reply: HashSet<u128>,
     spot_check_every: u64,
     fe_since_check: u64,
     report: WorkerReport,
@@ -229,39 +229,49 @@ impl WorkerCore6 {
     /// Park a waiter on `addr`; the first waiter creates the job and
     /// routes it (local FE queue or remote request).
     fn park(&mut self, addr: u128, w: Waiter) {
-        use std::collections::hash_map::Entry;
-        match self.pending.entry(addr) {
-            Entry::Occupied(mut e) => e.get_mut().push(w),
-            Entry::Vacant(e) => {
-                e.insert(vec![w]);
-                let home = self.part.home_of(addr);
-                if home as usize == self.lc {
-                    self.fe_queue.push(addr);
-                } else {
-                    self.awaiting_reply.insert(addr);
-                    self.report.remote_requests += 1;
-                    self.emit_request(home, addr);
-                }
-            }
+        let Some(awaiting_reply) = self.parked.park(addr, w) else {
+            return;
+        };
+        let home = self.part.home_of(addr);
+        if home as usize == self.lc {
+            self.fe_queue.push(addr);
+        } else {
+            *awaiting_reply = true;
+            self.report.remote_requests += 1;
+            self.emit_request(home, addr);
         }
     }
 
     /// Complete every waiter parked on `addr` with its resolved result.
     fn resolve(&mut self, addr: u128, nh: Option<u16>, version: u64, now: Instant) {
-        if let Some(waiters) = self.pending.remove(&addr) {
-            for w in waiters {
-                match w {
-                    Waiter::Local { admitted } => {
-                        let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
-                        self.report.latency.miss.record(ns);
-                        self.complete(nh);
-                    }
-                    Waiter::Remote { src, packet_id } => {
-                        self.emit_reply(src, addr, packet_id, nh, version)
-                    }
+        if let Some(waiters) = self.parked.take(addr) {
+            self.wake(addr, waiters, nh, version, now);
+        }
+    }
+
+    /// Complete `waiters`, just removed from `addr`'s parking entry, and
+    /// recycle their list.
+    fn wake(
+        &mut self,
+        addr: u128,
+        waiters: Vec<Waiter>,
+        nh: Option<u16>,
+        version: u64,
+        now: Instant,
+    ) {
+        for &w in &waiters {
+            match w {
+                Waiter::Local { admitted } => {
+                    let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
+                    self.report.latency.miss.record(ns);
+                    self.complete(nh);
+                }
+                Waiter::Remote { src, packet_id } => {
+                    self.emit_reply(src, addr, packet_id, nh, version)
                 }
             }
         }
+        self.parked.recycle(waiters);
     }
 
     fn drain_ctrl(&mut self) -> u64 {
@@ -284,29 +294,27 @@ impl WorkerCore6 {
             "request arrived at a non-home LC"
         );
         self.report.remote_served += 1;
-        match self.cache.probe(addr) {
-            ProbeResult::Hit { value, .. } => {
+        match self.cache.probe_reserve(addr) {
+            BatchProbe::Hit { value, .. } => {
                 self.emit_reply(src, addr, packet_id, value, snap.version)
             }
-            ProbeResult::HitWaiting => self.park(addr, Waiter::Remote { src, packet_id }),
-            ProbeResult::Miss => {
-                let _ = self.cache.reserve(addr);
-                self.park(addr, Waiter::Remote { src, packet_id });
+            BatchProbe::Waiting | BatchProbe::MissReserved | BatchProbe::MissUnrecorded => {
+                self.park(addr, Waiter::Remote { src, packet_id })
             }
         }
     }
 
     fn handle_reply_addr(&mut self, addr: u128, nh: Option<u16>, sent_at: u64, now: Instant) {
-        if !self.awaiting_reply.remove(&addr) {
+        let Some(waiters) = self.parked.take_reply(addr) else {
             self.report.duplicate_replies += 1;
             return;
-        }
+        };
         self.report.replies_received += 1;
         match self.cache.fill_versioned(addr, nh, Origin::Rem, sent_at) {
             VersionedFill::Cached(_) => {}
             VersionedFill::StaleDropped => self.report.stale_replies += 1,
         }
-        self.resolve(addr, nh, sent_at, now);
+        self.wake(addr, waiters, nh, sent_at, now);
     }
 
     /// Route one delivered message; batch messages unpack to the same
@@ -541,11 +549,12 @@ impl WorkerCore6 {
         if self.outbox.is_empty() {
             return;
         }
-        let mut blocked = vec![false; self.psi];
+        // Bit `dst` set: `dst`'s ring filled up this pass (ψ ≤ 64).
+        let mut blocked = 0u64;
         let mut deferred = VecDeque::new();
         while let Some(msg) = self.outbox.pop_front() {
             let dst = msg.dst as usize;
-            if blocked[dst] {
+            if blocked >> dst & 1 == 1 {
                 deferred.push_back(msg);
                 continue;
             }
@@ -564,7 +573,7 @@ impl WorkerCore6 {
                 self.report.max_ring_depth = depth;
             }
             if pushed < self.push_scratch.len() {
-                blocked[dst] = true;
+                blocked |= 1 << dst;
                 deferred.extend(self.push_scratch[pushed..].iter().copied());
             }
         }
@@ -574,10 +583,9 @@ impl WorkerCore6 {
     fn maybe_mark_done(&mut self) {
         if !self.marked_done
             && self.pos >= self.dests.len()
-            && self.pending.is_empty()
+            && self.parked.is_empty()
             && self.outbox.is_empty()
             && self.out_events.iter().all(|e| e.is_empty())
-            && self.awaiting_reply.is_empty()
         {
             self.marked_done = true;
             self.done.fetch_add(1, Ordering::SeqCst);
@@ -606,6 +614,7 @@ impl WorkerCore6 {
     fn finalize_report(&mut self) {
         self.report.lc = self.lc;
         self.report.cache = *self.cache.stats();
+        self.report.park = self.parked.stats();
     }
 }
 
@@ -883,6 +892,10 @@ impl Control6 {
 pub fn run6(table: &RoutingTable6, traces: &[Trace6], cfg: &Dataplane6Config) -> DataplaneReport {
     let psi = cfg.workers;
     assert!(psi >= 1, "need at least one worker");
+    assert!(
+        psi <= 64,
+        "the blocked-destination mask holds at most 64 workers"
+    );
     assert!(!traces.is_empty(), "need at least one trace");
     assert!(
         traces.iter().all(|t| !t.is_empty()),
@@ -953,10 +966,9 @@ pub fn run6(table: &RoutingTable6, traces: &[Trace6], cfg: &Dataplane6Config) ->
                 req_rx: std::mem::take(&mut rx_mat[lc]),
                 ctrl_rx: ctrl_rx.remove(0),
                 outbox: VecDeque::new(),
-                pending: HashMap::new(),
+                parked: ParkingTable::new(),
                 fe_queue: Vec::new(),
                 results: Vec::new(),
-                awaiting_reply: HashSet::new(),
                 spot_check_every: cfg.spot_check_every,
                 fe_since_check: 0,
                 report: WorkerReport::default(),

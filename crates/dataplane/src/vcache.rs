@@ -58,6 +58,12 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> VersionedCache<V, A> {
         self.cache.reserve(addr)
     }
 
+    /// See [`LrCache::probe_reserve`] — one lane of
+    /// [`Self::probe_batch`].
+    pub fn probe_reserve(&mut self, addr: A) -> BatchProbe<V> {
+        self.cache.probe_reserve(addr)
+    }
+
     /// See [`LrCache::probe_batch`] — the vector-mode probe pass with
     /// the miss-path reservation folded in, one [`BatchProbe`] per
     /// address. Versioning does not enter the probe path (only fills
